@@ -36,15 +36,15 @@
 
 use std::time::Instant;
 
-use amo_core::{run_scenario_simulated, run_simulated, KkConfig, KkLayout, KkProcess, SimOptions};
-use amo_iterative::{run_iterative_simulated, IterConfig, IterSimOptions};
+use amo_core::{run_scenario_simulated, KkConfig, KkLayout, KkProcess};
+use amo_iterative::{run_iterative_scenario, IterConfig};
 use amo_ostree::DenseFenwickSet;
 use amo_sim::{
     boxed, last_net_stats, run_scenario, run_scenario_on, AtomicRegisters, BackendSpec, BoxProcess,
     CrashPlan, Engine, EngineLimits, LatencyDist, MemOrder, NetworkSpec, RoundRobin, ScenarioSpec,
     ShardSpec, ThreadSpec, VecRegisters, WithCrashes,
 };
-use amo_write_all::{run_wa_simulated, WaConfig};
+use amo_write_all::{run_wa_scenario, WaConfig};
 
 /// Timed rounds per configuration (minimum is reported).
 const ROUNDS: usize = 3;
@@ -128,9 +128,9 @@ fn kk_workload(n: usize, m: usize) -> Entry {
     };
     // The same strict round-robin schedule through today's single-step
     // engine path with the production (blocked) structures.
-    let run_single = || run_simulated(&config, SimOptions::round_robin());
+    let run_single = || run_scenario_simulated(&config, &ScenarioSpec::round_robin());
     // The macro-stepping fast path (+ epoch cache + interleaved layout).
-    let run_fast = || run_simulated(&config, SimOptions::round_robin_batched());
+    let run_fast = || run_scenario_simulated(&config, &ScenarioSpec::round_robin_batched());
 
     let mut seed_ms = f64::MAX;
     let mut single_ms = f64::MAX;
@@ -152,7 +152,8 @@ fn kk_workload(n: usize, m: usize) -> Entry {
 
     // Quantized round-robin, single-step reference (equivalence witness for
     // the fast path: identical schedule and options, per-action dispatch).
-    let reference = run_simulated(&config, SimOptions::round_robin_batched().single_step());
+    let reference =
+        run_scenario_simulated(&config, &ScenarioSpec::round_robin_batched().single_step());
 
     assert!(fast.violations.is_empty(), "kk safety");
     // Batching + caching must be observationally invisible (same quantized
@@ -230,12 +231,13 @@ fn kk_mega_workload(name: &'static str, n: usize, m: usize) -> Entry {
     let mut pair = None;
     for _ in 0..2 {
         let t = Instant::now();
-        let single = run_simulated(&config, SimOptions::round_robin().with_limits(limits));
+        let single =
+            run_scenario_simulated(&config, &ScenarioSpec::round_robin().with_limits(limits));
         single_ms = single_ms.min(ms(t));
         let t = Instant::now();
-        let fast = run_simulated(
+        let fast = run_scenario_simulated(
             &config,
-            SimOptions::round_robin_batched().with_limits(limits),
+            &ScenarioSpec::round_robin_batched().with_limits(limits),
         );
         fast_ms = fast_ms.min(ms(t));
         pair = Some((single, fast));
@@ -336,10 +338,10 @@ fn iter_workload(n: usize, m: usize) -> Entry {
     for _ in 0..ROUNDS {
         let t = Instant::now();
         let single =
-            run_iterative_simulated(&config, IterSimOptions::round_robin_batched().single_step());
+            run_iterative_scenario(&config, &ScenarioSpec::round_robin_batched().single_step());
         single_ms = single_ms.min(ms(t));
         let t = Instant::now();
-        let fast = run_iterative_simulated(&config, IterSimOptions::round_robin_batched());
+        let fast = run_iterative_scenario(&config, &ScenarioSpec::round_robin_batched());
         fast_ms = fast_ms.min(ms(t));
         pair = Some((single, fast));
     }
@@ -386,10 +388,10 @@ fn write_all_workload(n: usize, m: usize) -> Entry {
     let mut pair = None;
     for _ in 0..ROUNDS {
         let t = Instant::now();
-        let single = run_wa_simulated(&config, IterSimOptions::round_robin_batched().single_step());
+        let single = run_wa_scenario(&config, &ScenarioSpec::round_robin_batched().single_step());
         single_ms = single_ms.min(ms(t));
         let t = Instant::now();
-        let fast = run_wa_simulated(&config, IterSimOptions::round_robin_batched());
+        let fast = run_wa_scenario(&config, &ScenarioSpec::round_robin_batched());
         fast_ms = fast_ms.min(ms(t));
         pair = Some((single, fast));
     }

@@ -13,10 +13,9 @@
 //! which **no pre-refactor runner could express**:
 //!
 //! * `rand-q64` (a quantum-granting random schedule) on *every* stack —
-//!   the legacy option structs granted quanta only under round-robin;
-//! * `block` and `lockstep` on the at-most-once comparators, whose
-//!   [`BaselineOptions`](amo_baselines::BaselineOptions) knew only
-//!   round-robin and seeded-random.
+//!   the per-crate option structs granted quanta only under round-robin;
+//! * `block` and `lockstep` on the at-most-once comparators, whose options
+//!   knew only round-robin and seeded-random.
 //!
 //! Safety assertions run in every cell (at-most-once for the AMO
 //! algorithms, certified completeness for fault-tolerant Write-All), so

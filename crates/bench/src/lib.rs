@@ -21,21 +21,25 @@ pub mod mem;
 
 pub use table::{fmt_f64, fmt_ratio, Table};
 
-/// Runs a simulated KKβ instance through this worker thread's
-/// [`FleetArena`](amo_core::FleetArena): consecutive grid cells on one
+/// Runs a simulated KKβ instance under `spec` through this worker thread's
+/// [`FleetArena`](amo_sim::FleetArena): consecutive grid cells on one
 /// worker reuse the same warm register buffer instead of allocating (and
-/// page-faulting) a fresh `m + m·n`-cell file per simulation — the
-/// struct-of-arrays arena locality the experiment grids run on.
+/// page-faulting) a fresh `m + m·n`-cell file per simulation. The report
+/// equals [`amo_core::run_scenario_simulated`]'s for the same spec.
 pub fn run_simulated_pooled(
     config: &amo_core::KkConfig,
-    options: amo_core::SimOptions,
+    spec: &amo_sim::ScenarioSpec,
 ) -> amo_core::AmoReport {
     use std::cell::RefCell;
     thread_local! {
-        static ARENA: RefCell<amo_core::FleetArena> =
-            RefCell::new(amo_core::FleetArena::new());
+        static ARENA: RefCell<amo_sim::FleetArena> = RefCell::new(amo_sim::FleetArena::new());
     }
-    ARENA.with(|a| amo_core::run_simulated_in(&mut a.borrow_mut(), config, options))
+    let (layout, fleet) = amo_core::kk_fleet(config, spec.grants_quanta());
+    let mem = ARENA.with(|a| a.borrow_mut().lease(layout.cells()));
+    let (exec, slots, mem) = amo_sim::run_scenario(mem, fleet, spec);
+    let report = amo_core::AmoReport::from_kk_run(config.n(), spec, exec, &slots, &mem);
+    ARENA.with(|a| a.borrow_mut().reclaim(mem));
+    report
 }
 
 /// Maps `f` over `items` on scoped OS threads, preserving input order.

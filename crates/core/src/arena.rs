@@ -9,13 +9,16 @@
 //! # Examples
 //!
 //! ```
-//! use amo_core::{run_simulated_in, FleetArena, KkConfig, SimOptions};
+//! use amo_core::{kk_fleet, FleetArena, KkConfig};
+//! use amo_sim::{run_scenario_in, ScenarioSpec};
 //!
 //! let mut arena = FleetArena::new();
+//! let spec = ScenarioSpec::round_robin_batched();
 //! for n in [64usize, 128, 256] {
 //!     let config = KkConfig::new(n, 4)?;
-//!     let report = run_simulated_in(&mut arena, &config, SimOptions::round_robin_batched());
-//!     assert!(report.violations.is_empty());
+//!     let (layout, fleet) = kk_fleet(&config, spec.grants_quanta());
+//!     let (exec, _slots) = run_scenario_in(&mut arena, layout.cells(), fleet, &spec);
+//!     assert!(exec.violations().is_empty());
 //! }
 //! assert_eq!(arena.leases(), 3);
 //! assert!(arena.reuses() >= 2, "buffers were recycled, not reallocated");

@@ -11,10 +11,10 @@
 //! `Staleness`) keep the default quantum of 1, so for them forcing
 //! single-step must be a no-op.
 
-use amo_core::{kk_fleet, run_simulated, KkConfig, SimOptions};
+use amo_core::{kk_fleet, run_scenario_simulated, KkConfig};
 use amo_sim::{
-    BlockScheduler, CrashPlan, Engine, EngineLimits, Execution, RoundRobin, Scheduler,
-    VecRegisters, WithCrashes,
+    run_scenario, BlockScheduler, CrashPlan, Engine, EngineLimits, Execution, RoundRobin,
+    ScenarioSpec, Scheduler, VecRegisters, WithCrashes,
 };
 use proptest::prelude::*;
 
@@ -129,72 +129,49 @@ fn adversarial_schedulers_are_untouched_by_the_fast_path() {
     // The adversaries keep the default quantum of 1, so the fast path never
     // engages: forcing the reference path must change nothing.
     let config = KkConfig::new(40, 4).expect("valid config");
-    for options in [
-        SimOptions::lockstep(),
-        SimOptions::stuck_announcement(),
-        SimOptions::staleness(),
+    for spec in [
+        ScenarioSpec::adversary("lockstep"),
+        ScenarioSpec::adversary("stuck-announcement"),
+        ScenarioSpec::adversary("staleness"),
     ] {
-        let fast = run_simulated(&config, options.clone());
-        let reference = run_simulated(&config, options.clone().single_step());
-        assert_eq!(
-            fast.performed, reference.performed,
-            "{:?}",
-            options.scheduler
-        );
+        let fast = run_scenario_simulated(&config, &spec);
+        let reference = run_scenario_simulated(&config, &spec.clone().single_step());
+        assert_eq!(fast.performed, reference.performed, "{:?}", spec.scheduler);
         assert_eq!(
             fast.total_steps, reference.total_steps,
             "{:?}",
-            options.scheduler
+            spec.scheduler
         );
-        assert_eq!(fast.mem_work, reference.mem_work, "{:?}", options.scheduler);
+        assert_eq!(fast.mem_work, reference.mem_work, "{:?}", spec.scheduler);
         assert_eq!(
             fast.effectiveness, reference.effectiveness,
             "{:?}",
-            options.scheduler
+            spec.scheduler
         );
     }
 }
 
-/// Report-level equality across *every* fast-path ingredient: the batched
-/// run with the announcement-epoch cache (and optionally the interleaved
-/// `done` layout) must match the cache-free, row-major, forced-single-step
+/// Runs one KKβ fleet under `spec` with the chosen `done` layout.
+fn run_with_layout(config: &KkConfig, spec: &ScenarioSpec, interleaved: bool) -> Execution {
+    let (layout, fleet) = kk_fleet(config, interleaved);
+    run_scenario(VecRegisters::new(layout.cells()), fleet, spec).0
+}
+
+/// Execution-level equality across *every* fast-path ingredient: the
+/// batched run with the announcement-epoch cache, under either `done`
+/// layout, must match the cache-free, row-major, forced-single-step
 /// reference — the strongest form of the observational-invisibility
 /// contract, covering `local_work` exactly (the cache compensates every
 /// skipped probe's accounting).
-fn assert_cache_equivalent(config: &KkConfig, base: SimOptions, what: &str) {
-    let reference = run_simulated(
+fn assert_cache_equivalent(config: &KkConfig, base: ScenarioSpec, what: &str) {
+    let reference = run_with_layout(
         config,
-        base.clone()
-            .with_epoch_cache(false)
-            .with_interleaved_done(false)
-            .single_step(),
+        &base.clone().with_epoch_cache(false).single_step(),
+        false,
     );
     for interleaved in [false, true] {
-        let fast = run_simulated(config, base.clone().with_interleaved_done(interleaved));
-        assert_eq!(
-            fast.performed, reference.performed,
-            "{what} soa={interleaved}: performed differ"
-        );
-        assert_eq!(
-            fast.total_steps, reference.total_steps,
-            "{what} soa={interleaved}: total_steps differ"
-        );
-        assert_eq!(
-            fast.mem_work, reference.mem_work,
-            "{what} soa={interleaved}: shared work differs"
-        );
-        assert_eq!(
-            fast.local_work, reference.local_work,
-            "{what} soa={interleaved}: local work differs"
-        );
-        assert_eq!(
-            fast.crashed, reference.crashed,
-            "{what} soa={interleaved}: crashes differ"
-        );
-        assert_eq!(
-            fast.effectiveness, reference.effectiveness,
-            "{what} soa={interleaved}: effectiveness differs"
-        );
+        let fast = run_with_layout(config, &base, interleaved);
+        assert_exec_eq(&fast, &reference, &format!("{what} soa={interleaved}"));
     }
 }
 
@@ -209,7 +186,7 @@ fn epoch_cache_and_layout_are_observationally_invisible() {
             for &q in &[2u64, 16, RoundRobin::BATCH_QUANTUM] {
                 assert_cache_equivalent(
                     &config,
-                    SimOptions::round_robin().with_quantum(q),
+                    ScenarioSpec::round_robin().with_quantum(q),
                     &format!("n={n} m={m} beta={beta} q={q}"),
                 );
             }
@@ -225,7 +202,7 @@ fn epoch_cache_is_invisible_under_crashes() {
         for &q in &[3u64, 16, 1024] {
             assert_cache_equivalent(
                 &config,
-                SimOptions::round_robin()
+                ScenarioSpec::round_robin()
                     .with_quantum(q)
                     .with_crash_plan(plan.clone()),
                 &format!("crashes ({p1}@{s1}, {p2}@{s2}) q={q}"),
@@ -252,11 +229,11 @@ proptest! {
         let config = KkConfig::with_beta(n, m, m as u64 + beta_extra).expect("valid");
         let f = f.min(m - 1);
         let plan = CrashPlan::random(m, f, (n as u64) * 2, crash_seed);
-        let base = SimOptions::round_robin()
+        let base = ScenarioSpec::round_robin()
             .with_quantum(quantum)
             .with_crash_plan(plan);
-        let fast = run_simulated(&config, base.clone());
-        let reference = run_simulated(&config, base.single_step());
+        let fast = run_scenario_simulated(&config, &base);
+        let reference = run_scenario_simulated(&config, &base.single_step());
         prop_assert_eq!(fast.performed, reference.performed);
         prop_assert_eq!(fast.total_steps, reference.total_steps);
         prop_assert_eq!(fast.crashed, reference.crashed);
@@ -277,9 +254,9 @@ proptest! {
     ) {
         prop_assume!(n >= m);
         let config = KkConfig::new(n, m).expect("valid");
-        let base = SimOptions::block(seed, burst);
-        let fast = run_simulated(&config, base.clone());
-        let reference = run_simulated(&config, base.single_step());
+        let base = ScenarioSpec::block(seed, burst);
+        let fast = run_scenario_simulated(&config, &base);
+        let reference = run_scenario_simulated(&config, &base.single_step());
         prop_assert_eq!(fast.performed, reference.performed);
         prop_assert_eq!(fast.total_steps, reference.total_steps);
         prop_assert_eq!(fast.mem_work, reference.mem_work);

@@ -718,9 +718,10 @@ impl RankedSet for FenwickSet {
     /// Anchored walk: instead of entering the count hierarchy from an end,
     /// the walk starts at the block containing `hint.anchor`, whose
     /// effective prefix rank is recovered in `O(1)` block scans from the
-    /// hint's full-set rank (see [`SelectHint`] for the invariant — debug
-    /// builds assert it). The walk then moves block-at-a-time toward the
-    /// target, discounting exclusions with a merge pointer, and takes
+    /// hint's full-set rank (see [`SelectHint`](crate::SelectHint) for the
+    /// invariant — debug builds assert it). The walk then moves
+    /// block-at-a-time toward the target, discounting exclusions with a
+    /// merge pointer, and takes
     /// **chunked superblock skips** whenever it crosses a whole superblock —
     /// so a far-off target degrades to the unhinted cost, while the common
     /// `compNext` case (the next pick lands within a block or two of the

@@ -12,7 +12,7 @@
 //! the lock (a chaos kill, a process bug) leaves the mutex poisoned but
 //! the state itself consistent — it is a plain deque plus counters, with
 //! no invariant ever spanning a panic point — so every operation recovers
-//! the guard from [`PoisonError`](std::sync::PoisonError) instead of
+//! the guard from [`PoisonError`] instead of
 //! cascading the panic into blocked producers as a deadlock-by-unwind.
 
 use std::collections::VecDeque;

@@ -1,18 +1,15 @@
 //! Configuration, runners and reports for the Write-All algorithms.
 //!
-//! The simulated entry points route through the unified scenario layer
-//! ([`amo_sim::run_scenario`]): the legacy [`IterSimOptions`]-taking
-//! runners lower bit-identically, and the `*_scenario` twins accept a
-//! [`ScenarioSpec`] directly — which is what lets Write-All fleets run
-//! under scenario cells the old option structs could not express (e.g.
-//! quantized random schedules or the lockstep adversary with crash plans).
+//! Simulated runs take a [`ScenarioSpec`] ([`run_wa_scenario`],
+//! [`run_baseline_scenario`], through the unified scenario layer
+//! [`amo_sim::run_scenario`]); threaded runs take a [`ThreadSpec`]
+//! ([`run_wa_threads`], [`run_baseline_threads`]).
 
 use amo_core::ConfigError;
-use amo_iterative::{IterConfig, IterSimOptions};
-use amo_sim::thread::ThreadSpec;
+use amo_iterative::IterConfig;
+use amo_sim::thread::{ThreadExecution, ThreadSpec};
 use amo_sim::{
-    AtomicRegisters, CrashPlan, Execution, MemOrder, MemWork, ScenarioHooks, ScenarioProcess,
-    ScenarioSpec, Scheduler, VecRegisters,
+    Execution, MemWork, ScenarioHooks, ScenarioProcess, ScenarioSpec, Scheduler, VecRegisters,
 };
 
 use crate::baselines::{baseline_cells, PermutationScanWa, SequentialWa, StaticPartitionWa, TasWa};
@@ -99,8 +96,8 @@ impl WaBaselineKind {
 
 /// Summary of one Write-All execution.
 ///
-/// Equality is field-for-field — what the scenario-equivalence suite
-/// asserts between a legacy-options run and its lowered [`ScenarioSpec`].
+/// Equality is field-for-field — what the equivalence suites assert between
+/// two runs of the same [`ScenarioSpec`] on different paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaReport {
     /// The certification outcome (all cells written?).
@@ -125,6 +122,37 @@ pub struct WaReport {
 }
 
 impl WaReport {
+    /// The report of a simulated run, certified by `certified`.
+    fn from_execution(exec: Execution, certified: CertifyOutcome, label: &'static str) -> Self {
+        Self {
+            complete: certified.complete,
+            certified,
+            mem_work: exec.mem_work,
+            local_work: exec.local_work,
+            total_steps: exec.total_steps,
+            crashed: exec.crashed,
+            restarted: exec.restarted,
+            completed: exec.completed,
+            label,
+        }
+    }
+
+    /// The report of a threaded run: steps are summed over the threads and
+    /// restarts do not exist on the thread runtime.
+    fn from_threads(exec: ThreadExecution, certified: CertifyOutcome, label: &'static str) -> Self {
+        Self {
+            complete: certified.complete,
+            certified,
+            mem_work: exec.mem_work,
+            local_work: exec.local_work,
+            total_steps: exec.per_proc_steps.iter().sum(),
+            crashed: exec.crashed,
+            restarted: Vec::new(),
+            completed: exec.completed,
+            label,
+        }
+    }
+
     /// Total work (Definition 2.5).
     pub fn work(&self) -> u64 {
         self.mem_work.total() + self.local_work
@@ -140,50 +168,33 @@ impl WaReport {
     }
 }
 
-/// Runs `WA_IterativeKK(ε)` in the deterministic simulator.
+/// Runs `WA_IterativeKK(ε)` in the deterministic simulator under `spec`.
 ///
 /// # Examples
 ///
 /// ```
-/// use amo_iterative::IterSimOptions;
-/// use amo_write_all::{run_wa_simulated, WaConfig};
+/// use amo_sim::ScenarioSpec;
+/// use amo_write_all::{run_wa_scenario, WaConfig};
 ///
 /// let config = WaConfig::new(500, 2, 1)?;
-/// let report = run_wa_simulated(&config, IterSimOptions::round_robin());
+/// let report = run_wa_scenario(&config, &ScenarioSpec::round_robin());
 /// assert!(report.complete);
 /// # Ok::<(), amo_core::ConfigError>(())
 /// ```
-pub fn run_wa_simulated(config: &WaConfig, options: IterSimOptions) -> WaReport {
-    run_wa_scenario(config, &options.to_scenario())
+pub fn run_wa_scenario(config: &WaConfig, spec: &ScenarioSpec) -> WaReport {
+    let (layout, fleet) = wa_fleet(config);
+    let (exec, _slots, mem) = amo_sim::run_scenario(VecRegisters::new(layout.cells()), fleet, spec);
+    let certified = certify_snapshot(&mem.snapshot(), layout.wa_base(), config.n());
+    WaReport::from_execution(exec, certified, "wa-iterative-kk")
 }
 
-/// Runs `WA_IterativeKK(ε)` under an explicit [`ScenarioSpec`] — the
-/// spec-first twin of [`run_wa_simulated`]. The epoch-cache opt-in that
-/// every caller used to wire by hand is handled by the generic driver.
-pub fn run_wa_scenario(config: &WaConfig, spec: &ScenarioSpec) -> WaReport {
+/// Builds the `WA_IterativeKK(ε)` layout and its `m` processes.
+fn wa_fleet(config: &WaConfig) -> (WaLayout, Vec<WaIterativeProcess>) {
     let layout = config.layout();
-    let mem = VecRegisters::new(layout.cells());
-    let fleet: Vec<WaIterativeProcess> = (1..=config.m())
+    let fleet = (1..=config.m())
         .map(|pid| WaIterativeProcess::new(pid, config.iter(), layout.clone()))
         .collect();
-    let (exec, _slots, mem) = amo_sim::run_scenario(mem, fleet, spec);
-    let certified = certify_snapshot(&mem.snapshot(), layout.wa_base(), config.n());
-    wa_report(exec, certified, "wa-iterative-kk")
-}
-
-/// Assembles a [`WaReport`] from an execution and its certification.
-fn wa_report(exec: Execution, certified: CertifyOutcome, label: &'static str) -> WaReport {
-    WaReport {
-        complete: certified.complete,
-        certified,
-        mem_work: exec.mem_work,
-        local_work: exec.local_work,
-        total_steps: exec.total_steps,
-        crashed: exec.crashed,
-        restarted: exec.restarted,
-        completed: exec.completed,
-        label,
-    }
+    (layout, fleet)
 }
 
 /// The scenario-registry entries of the Write-All process family: the
@@ -215,47 +226,22 @@ macro_rules! generic_adversaries_scenario {
 
 generic_adversaries_scenario!(SequentialWa, StaticPartitionWa, TasWa, PermutationScanWa);
 
-/// Runs `WA_IterativeKK(ε)` on OS threads.
-pub fn run_wa_threads(config: &WaConfig, crash_plan: CrashPlan, order: MemOrder) -> WaReport {
-    let layout = config.layout();
-    let mem = AtomicRegisters::new(layout.cells(), order);
-    let fleet: Vec<WaIterativeProcess> = (1..=config.m())
-        .map(|pid| WaIterativeProcess::new(pid, config.iter(), layout.clone()))
-        .collect();
-    let exec = ThreadSpec::new()
-        .with_crash_plan(crash_plan)
-        .run(&mem, fleet);
+/// Runs `WA_IterativeKK(ε)` on OS threads over hardware atomics, allocated
+/// under the spec's memory-ordering regime.
+pub fn run_wa_threads(config: &WaConfig, spec: &ThreadSpec) -> WaReport {
+    let (layout, fleet) = wa_fleet(config);
+    let mem = spec.alloc(layout.cells());
+    let exec = spec.run(&mem, fleet);
     let certified = certify_snapshot(&mem.snapshot(), layout.wa_base(), config.n());
-    WaReport {
-        complete: certified.complete,
-        certified,
-        mem_work: exec.mem_work,
-        local_work: exec.local_work,
-        total_steps: exec.per_proc_steps.iter().sum(),
-        crashed: exec.crashed,
-        restarted: Vec::new(),
-        completed: exec.completed,
-        label: "wa-iterative-kk",
-    }
+    WaReport::from_threads(exec, certified, "wa-iterative-kk")
 }
 
-/// Runs a Write-All baseline in the simulator.
+/// Runs a Write-All baseline in the simulator under `spec` (the scenario
+/// matrix drives lockstep and bursty blocks over the scan baselines
+/// through here).
 ///
 /// For [`WaBaselineKind::Sequential`] the fleet is a single process
 /// regardless of `m`.
-pub fn run_baseline_simulated(
-    kind: WaBaselineKind,
-    n: usize,
-    m: usize,
-    options: IterSimOptions,
-) -> WaReport {
-    run_baseline_scenario(kind, n, m, &options.to_scenario())
-}
-
-/// Runs a Write-All baseline under an explicit [`ScenarioSpec`] — the
-/// spec-first twin of [`run_baseline_simulated`], through which the
-/// scenario matrix drives cells like lockstep or bursty blocks over the
-/// scan baselines.
 pub fn run_baseline_scenario(
     kind: WaBaselineKind,
     n: usize,
@@ -293,22 +279,19 @@ pub fn run_baseline_scenario(
         }
     };
     let certified = certify_snapshot(&mem.snapshot(), 0, n);
-    wa_report(exec, certified, kind.label())
+    WaReport::from_execution(exec, certified, kind.label())
 }
 
-/// Runs a Write-All baseline on OS threads.
+/// Runs a Write-All baseline on OS threads over hardware atomics,
+/// allocated under the spec's memory-ordering regime.
 pub fn run_baseline_threads(
     kind: WaBaselineKind,
     n: usize,
     m: usize,
-    crash_plan: CrashPlan,
-    order: MemOrder,
+    spec: &ThreadSpec,
 ) -> WaReport {
     assert!(n > 0 && m > 0, "need jobs and processes");
     let cells = baseline_cells(kind.uses_rmw(), n);
-    let spec = ThreadSpec::new()
-        .with_crash_plan(crash_plan)
-        .with_order(order);
     let mem = spec.alloc(cells);
     let exec = match kind {
         WaBaselineKind::Sequential => spec.run(&mem, vec![SequentialWa::new(1, n as u64)]),
@@ -330,27 +313,18 @@ pub fn run_baseline_threads(
         }
     };
     let certified = certify_snapshot(&mem.snapshot(), 0, n);
-    WaReport {
-        complete: certified.complete,
-        certified,
-        mem_work: exec.mem_work,
-        local_work: exec.local_work,
-        total_steps: exec.per_proc_steps.iter().sum(),
-        crashed: exec.crashed,
-        restarted: Vec::new(),
-        completed: exec.completed,
-        label: kind.label(),
-    }
+    WaReport::from_threads(exec, certified, kind.label())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amo_sim::CrashPlan;
 
     #[test]
     fn wa_iterative_completes_no_crashes() {
         let config = WaConfig::new(300, 3, 1).unwrap();
-        let report = run_wa_simulated(&config, IterSimOptions::round_robin());
+        let report = run_wa_scenario(&config, &ScenarioSpec::round_robin());
         assert!(report.complete, "missing {:?}", report.certified.missing);
         assert!(report.completed);
         assert!(report.crashed.is_empty());
@@ -360,23 +334,23 @@ mod tests {
     #[test]
     fn wa_iterative_completes_under_crashes() {
         let config = WaConfig::new(300, 4, 1).unwrap();
-        let options = IterSimOptions::random(11).with_crash_plan(CrashPlan::at_steps([
+        let options = ScenarioSpec::random(11).with_crash_plan(CrashPlan::at_steps([
             (1usize, 50u64),
             (2, 200),
             (3, 700),
         ]));
-        let report = run_wa_simulated(&config, options);
+        let report = run_wa_scenario(&config, &options);
         assert_eq!(report.crashed, vec![1, 2, 3]);
         assert!(report.complete, "survivor finishes everything");
     }
 
     #[test]
     fn static_partition_fails_under_crash() {
-        let report = run_baseline_simulated(
+        let report = run_baseline_scenario(
             WaBaselineKind::StaticPartition,
             100,
             4,
-            IterSimOptions::round_robin().with_crash_plan(CrashPlan::at_steps([(2usize, 3u64)])),
+            &ScenarioSpec::round_robin().with_crash_plan(CrashPlan::at_steps([(2usize, 3u64)])),
         );
         assert!(!report.complete, "fault-intolerant baseline must fail");
         assert!(!report.certified.missing.is_empty());
@@ -384,17 +358,17 @@ mod tests {
 
     #[test]
     fn tas_baseline_completes_under_crash_of_non_survivors() {
-        let report = run_baseline_simulated(
+        let report = run_baseline_scenario(
             WaBaselineKind::Tas,
             64,
             3,
-            IterSimOptions::random(3).with_crash_plan(CrashPlan::at_steps([(1usize, 10u64)])),
+            &ScenarioSpec::random(3).with_crash_plan(CrashPlan::at_steps([(1usize, 10u64)])),
         );
         // TAS claims are lost with the crashed claimer: cells claimed but
         // not written stay 0 — the known weakness of naive TAS claiming
         // (Malewicz's real algorithm recovers them; our stand-in documents
         // the gap). Without crashes it always completes:
-        let clean = run_baseline_simulated(WaBaselineKind::Tas, 64, 3, IterSimOptions::random(3));
+        let clean = run_baseline_scenario(WaBaselineKind::Tas, 64, 3, &ScenarioSpec::random(3));
         assert!(clean.complete);
         // Under a crash, completion depends on timing; both outcomes are
         // legal for the stand-in, but the report must be internally
@@ -404,11 +378,11 @@ mod tests {
 
     #[test]
     fn permutation_scan_completes_under_crashes() {
-        let report = run_baseline_simulated(
+        let report = run_baseline_scenario(
             WaBaselineKind::PermutationScan(5),
             80,
             4,
-            IterSimOptions::random(9).with_crash_plan(CrashPlan::at_steps([
+            &ScenarioSpec::random(9).with_crash_plan(CrashPlan::at_steps([
                 (1usize, 5u64),
                 (2, 11),
                 (3, 17),
@@ -419,11 +393,11 @@ mod tests {
 
     #[test]
     fn sequential_baseline_work_is_n_writes() {
-        let report = run_baseline_simulated(
+        let report = run_baseline_scenario(
             WaBaselineKind::Sequential,
             128,
             1,
-            IterSimOptions::round_robin(),
+            &ScenarioSpec::round_robin(),
         );
         assert!(report.complete);
         assert_eq!(report.mem_work.writes, 128);
@@ -433,7 +407,7 @@ mod tests {
     #[test]
     fn wa_threads_complete() {
         let config = WaConfig::new(400, 4, 1).unwrap();
-        let report = run_wa_threads(&config, CrashPlan::none(), MemOrder::SeqCst);
+        let report = run_wa_threads(&config, &ThreadSpec::new());
         assert!(report.complete);
     }
 
@@ -445,7 +419,7 @@ mod tests {
             WaBaselineKind::Tas,
             WaBaselineKind::PermutationScan(1),
         ] {
-            let report = run_baseline_threads(kind, 100, 3, CrashPlan::none(), MemOrder::SeqCst);
+            let report = run_baseline_threads(kind, 100, 3, &ThreadSpec::new());
             assert!(report.complete, "{} must complete crash-free", kind.label());
         }
     }

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_crash_plan(plan);
 
     // Reference run: the plain volatile backend (crashes, no storage).
-    let volatile = run_wa_scenario(&config, &base.clone());
+    let volatile = run_wa_scenario(&config, &base);
 
     // Same schedule, same crashes — but the register file journals through
     // the WAL and the blackout tears one of the crasher's unflushed writes.
