@@ -4,7 +4,9 @@
 //! so every PR leaves a perf trajectory.
 //!
 //! Usage: `cargo run --release -p amo-bench --bin perf_smoke [-- --quick]
-//! [--out PATH]`.
+//! [--out PATH] [--skip NAME[,NAME…]]`. `--skip` leaves the named workloads
+//! out, e.g. `--skip kk_giga_rr`, whose full-scale register file needs
+//! several GB of memory.
 //!
 //! On the plain-KKβ round-robin workload three configurations run in the
 //! same process:
@@ -41,10 +43,10 @@ use amo_iterative::{run_iterative_scenario, IterConfig};
 use amo_ostree::DenseFenwickSet;
 use amo_sim::{
     boxed, last_net_stats, run_scenario, run_scenario_on, AtomicRegisters, BackendSpec, BoxProcess,
-    CrashPlan, Engine, EngineLimits, LatencyDist, MemOrder, NetworkSpec, RoundRobin, ScenarioSpec,
-    ShardSpec, ThreadSpec, VecRegisters, WithCrashes,
+    CrashPlan, DurableRegisters, Engine, EngineLimits, LatencyDist, MemOrder, NetworkSpec,
+    RoundRobin, ScenarioSpec, ShardSpec, StorageFault, ThreadSpec, VecRegisters, WithCrashes,
 };
-use amo_write_all::{run_wa_scenario, WaConfig};
+use amo_write_all::{run_wa_scenario, WaConfig, WaIterativeProcess};
 
 /// Timed rounds per configuration (minimum is reported).
 const ROUNDS: usize = 3;
@@ -69,7 +71,8 @@ struct Entry {
     /// single-step engine), when measured for this workload.
     seed_ms: Option<f64>,
     single_ms: f64,
-    fast_ms: f64,
+    /// Fast-path time; `None` for workloads that only run single-step.
+    fast_ms: Option<f64>,
     total_steps: u64,
     shared_ops: u64,
     effectiveness: Option<u64>,
@@ -91,14 +94,15 @@ struct Entry {
 }
 
 impl Entry {
-    /// Fast path vs the single-step engine path (same structures).
-    fn speedup_vs_single(&self) -> f64 {
-        self.single_ms / self.fast_ms.max(1e-9)
+    /// Fast path vs the single-step engine path (same structures), when
+    /// there is a fast path.
+    fn speedup_vs_single(&self) -> Option<f64> {
+        self.fast_ms.map(|f| self.single_ms / f.max(1e-9))
     }
 
-    /// Fast path vs the seed-equivalent baseline, when measured.
+    /// Fast path vs the seed-equivalent baseline, when both are measured.
     fn speedup_vs_seed(&self) -> Option<f64> {
-        self.seed_ms.map(|s| s / self.fast_ms.max(1e-9))
+        Some(self.seed_ms? / self.fast_ms?.max(1e-9))
     }
 }
 
@@ -195,7 +199,7 @@ fn kk_workload(n: usize, m: usize) -> Entry {
         params: format!("n={n} m={m} beta={beta}"),
         seed_ms: Some(seed_ms),
         single_ms,
-        fast_ms,
+        fast_ms: Some(fast_ms),
         total_steps: fast.total_steps,
         shared_ops: fast.mem_work.total(),
         effectiveness: Some(fast.effectiveness),
@@ -252,7 +256,7 @@ fn kk_mega_workload(name: &'static str, n: usize, m: usize) -> Entry {
         params: format!("n={n} m={m} beta={beta}"),
         seed_ms: None,
         single_ms,
-        fast_ms,
+        fast_ms: Some(fast_ms),
         total_steps: fast.total_steps,
         shared_ops: fast.mem_work.total(),
         effectiveness: Some(fast.effectiveness),
@@ -316,7 +320,7 @@ fn kk_sharded_workload(
         params: format!("n={n} m={m} beta={beta} S={SMOKE_SHARDS}"),
         seed_ms: None,
         single_ms,
-        fast_ms,
+        fast_ms: Some(fast_ms),
         total_steps: fast.total_steps,
         shared_ops: fast.mem_work.total(),
         effectiveness: Some(fast.effectiveness),
@@ -366,7 +370,7 @@ fn iter_workload(n: usize, m: usize) -> Entry {
         params: format!("n={n} m={m} 1/eps=1"),
         seed_ms: None,
         single_ms,
-        fast_ms,
+        fast_ms: Some(fast_ms),
         total_steps: fast.total_steps,
         shared_ops: fast.mem_work.total(),
         effectiveness: Some(fast.effectiveness),
@@ -412,7 +416,7 @@ fn write_all_workload(n: usize, m: usize) -> Entry {
         params: format!("n={n} m={m} 1/eps=1"),
         seed_ms: None,
         single_ms,
-        fast_ms,
+        fast_ms: Some(fast_ms),
         total_steps: fast.total_steps,
         shared_ops: fast.mem_work.total(),
         effectiveness: None,
@@ -422,6 +426,83 @@ fn write_all_workload(n: usize, m: usize) -> Entry {
         epoch_mem_bytes: None,
         extra: Vec::new(),
         emit_ratios: true,
+    }
+}
+
+/// The scheduler-bound workload: Write-All under a single-step random
+/// schedule with staggered crash–restarts over the durable backend with
+/// torn writes — the engine-dispatch, scheduler and journal path that the
+/// other cells, all on round-robin with an empty or crash-only plan, never
+/// reach. There is no fast path (a random quantum of 1 is the
+/// adversary's per-action control), so only `single_step_ms` is timed, and
+/// informationally; the gate pins `total_steps`, `shared_ops`, `restarted`
+/// and the journal's `journaled` record count exactly. Every round must
+/// replay the first execution.
+fn wa_restart_workload(n: usize, m: usize) -> Entry {
+    let config = WaConfig::new(n, m, 1).expect("valid config");
+    let layout = config.layout();
+    let unit = n as u64 / 25;
+    let mut plan = CrashPlan::none();
+    for pid in 1..m {
+        plan.crash(pid, unit * pid as u64)
+            .restart_after(pid, unit / 2);
+    }
+    let planned = plan.restart_count();
+    let fault_seed = 0xFA17;
+    // The durable file is built here, not from a `BackendSpec`, so its
+    // journal statistics stay reachable after the run.
+    let spec = ScenarioSpec::random(0x5C4E).with_crash_plan(plan);
+    let run = || {
+        let mem = DurableRegisters::new(
+            VecRegisters::new(layout.cells()),
+            StorageFault::TornWrite,
+            fault_seed,
+        );
+        let fleet: Vec<WaIterativeProcess> = (1..=m)
+            .map(|pid| WaIterativeProcess::new(pid, config.iter(), layout.clone()))
+            .collect();
+        let (exec, _, mem) = run_scenario_on(mem, fleet, &spec);
+        (exec, mem)
+    };
+
+    let mut single_ms = f64::MAX;
+    let mut first = None;
+    for _ in 0..ROUNDS {
+        let t = Instant::now();
+        let (exec, mem) = run();
+        single_ms = single_ms.min(ms(t));
+        match &first {
+            None => first = Some((exec, mem)),
+            Some((f, _)) => assert_eq!(&exec, f, "wa restart run is not deterministic"),
+        }
+    }
+    let (exec, mem) = first.expect("ROUNDS >= 1");
+
+    assert!(exec.completed, "wa restart termination");
+    assert_eq!(exec.restarted.len(), planned, "every crasher restarts");
+    let cells = mem.snapshot();
+    let base = layout.wa_base();
+    assert!(
+        cells[base..base + n].iter().all(|&c| c != 0),
+        "write-all must complete"
+    );
+
+    Entry {
+        name: "wa_random_restart",
+        params: format!("n={n} m={m} 1/eps=1 durable torn"),
+        seed_ms: None,
+        single_ms,
+        fast_ms: None,
+        total_steps: exec.total_steps,
+        shared_ops: exec.mem_work.total(),
+        effectiveness: None,
+        peak_rss_kb: None,
+        epoch_mem_bytes: None,
+        extra: vec![
+            ("restarted", exec.restarted.len() as u64),
+            ("journaled", mem.stats().journaled),
+        ],
+        emit_ratios: false,
     }
 }
 
@@ -484,7 +565,7 @@ fn quorum_workload(n: usize, m: usize) -> Entry {
         params: format!("n={n} m={m} k=3 lossless + k=5 lossy"),
         seed_ms: None,
         single_ms,
-        fast_ms,
+        fast_ms: Some(fast_ms),
         total_steps: quorum_run.total_steps,
         shared_ops: quorum_run.work(),
         effectiveness: Some(quorum_run.effectiveness),
@@ -582,7 +663,7 @@ fn atomic_threads_workload(n: usize, m: usize) -> Entry {
         params: format!("n={n} m={m} beta={}", config.beta()),
         seed_ms: None,
         single_ms,
-        fast_ms,
+        fast_ms: Some(fast_ms),
         total_steps: atomic_exec.total_steps,
         shared_ops: atomic_exec.mem_work.total(),
         effectiveness: Some(atomic_exec.effectiveness()),
@@ -634,15 +715,16 @@ fn json(entries: &[Entry], scale: amo_bench::Scale) -> String {
             out.push_str(&format!("      \"seed_equivalent_ms\": {s:.2},\n"));
         }
         out.push_str(&format!("      \"single_step_ms\": {:.2},\n", e.single_ms));
-        out.push_str(&format!("      \"fast_path_ms\": {:.2},\n", e.fast_ms));
+        if let Some(f) = e.fast_ms {
+            out.push_str(&format!("      \"fast_path_ms\": {f:.2},\n"));
+        }
         if e.emit_ratios {
             if let Some(s) = e.speedup_vs_seed() {
                 out.push_str(&format!("      \"speedup_vs_seed\": {s:.3},\n"));
             }
-            out.push_str(&format!(
-                "      \"speedup_vs_single_step\": {:.3},\n",
-                e.speedup_vs_single()
-            ));
+            if let Some(s) = e.speedup_vs_single() {
+                out.push_str(&format!("      \"speedup_vs_single_step\": {s:.3},\n"));
+            }
         }
         if let Some(kb) = e.peak_rss_kb {
             out.push_str(&format!(
@@ -680,39 +762,76 @@ fn json(entries: &[Entry], scale: amo_bench::Scale) -> String {
     out
 }
 
+/// A workload of the smoke, by the name its [`Entry`] carries.
+type Cell = (&'static str, Box<dyn FnOnce() -> Entry>);
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = amo_bench::cli_scale();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(|| "BENCH_engine.json".to_owned(), Clone::clone);
+    let out_path = amo_bench::gate::arg_value(&args, "--out")
+        .unwrap_or_else(|| "BENCH_engine.json".to_owned());
+    let skip = amo_bench::gate::arg_value(&args, "--skip").unwrap_or_default();
+    let skip: Vec<&str> = skip.split(',').collect();
 
     let started = Instant::now();
-    let entries = if scale.is_quick() {
+    let cells: Vec<Cell> = if scale.is_quick() {
         vec![
-            kk_workload(20_000, 8),
+            ("kk_plain_rr", Box::new(|| kk_workload(20_000, 8))),
             // Scaled-down mega workload: without it the quick gate never
             // touched the epoch-memory path at all.
-            kk_mega_workload("kk_mega_quick", 100_000, 32),
-            kk_sharded_workload("kk_sharded_quick", 100_000, 32, 2, 2_000_000_000),
-            iter_workload(10_000, 4),
-            write_all_workload(10_000, 4),
-            quorum_workload(20_000, 8),
-            atomic_threads_workload(20_000, 8),
+            (
+                "kk_mega_quick",
+                Box::new(|| kk_mega_workload("kk_mega_quick", 100_000, 32)),
+            ),
+            (
+                "kk_sharded_quick",
+                Box::new(|| kk_sharded_workload("kk_sharded_quick", 100_000, 32, 2, 2_000_000_000)),
+            ),
+            ("iter_step_kk", Box::new(|| iter_workload(10_000, 4))),
+            ("write_all", Box::new(|| write_all_workload(10_000, 4))),
+            (
+                "wa_random_restart",
+                Box::new(|| wa_restart_workload(20_000, 8)),
+            ),
+            ("kk_quorum_net", Box::new(|| quorum_workload(20_000, 8))),
+            (
+                "kk_atomic_threads",
+                Box::new(|| atomic_threads_workload(20_000, 8)),
+            ),
         ]
     } else {
         vec![
-            kk_workload(100_000, 16),
-            kk_mega_workload("kk_mega_rr", 1_000_000, 64),
-            kk_sharded_workload("kk_giga_rr", 10_000_000, 64, 1, 20_000_000_000),
-            iter_workload(50_000, 8),
-            write_all_workload(50_000, 8),
-            quorum_workload(50_000, 8),
-            atomic_threads_workload(50_000, 16),
+            ("kk_plain_rr", Box::new(|| kk_workload(100_000, 16))),
+            (
+                "kk_mega_rr",
+                Box::new(|| kk_mega_workload("kk_mega_rr", 1_000_000, 64)),
+            ),
+            (
+                "kk_giga_rr",
+                Box::new(|| kk_sharded_workload("kk_giga_rr", 10_000_000, 64, 1, 20_000_000_000)),
+            ),
+            ("iter_step_kk", Box::new(|| iter_workload(50_000, 8))),
+            ("write_all", Box::new(|| write_all_workload(50_000, 8))),
+            (
+                "wa_random_restart",
+                Box::new(|| wa_restart_workload(100_000, 8)),
+            ),
+            ("kk_quorum_net", Box::new(|| quorum_workload(50_000, 8))),
+            (
+                "kk_atomic_threads",
+                Box::new(|| atomic_threads_workload(50_000, 16)),
+            ),
         ]
     };
+    let entries: Vec<Entry> = cells
+        .into_iter()
+        .filter(|(name, _)| !skip.contains(name))
+        .map(|(name, run)| {
+            let entry = run();
+            assert_eq!(entry.name, name, "cell name mismatch");
+            entry
+        })
+        .collect();
 
     println!(
         "engine perf smoke ({scale:?}, kernel tier {})",
@@ -733,15 +852,16 @@ fn main() {
     );
     for e in &entries {
         println!(
-            "{:<14} {:<26} {:>9} {:>10.1} {:>9.1} {:>9} {:>8.2}x {:>13} {:>8} {:>9}",
+            "{:<14} {:<26} {:>9} {:>10.1} {:>9} {:>9} {:>9} {:>13} {:>8} {:>9}",
             e.name,
             e.params,
             e.seed_ms.map_or_else(|| "-".into(), |s| format!("{s:.1}")),
             e.single_ms,
-            e.fast_ms,
+            e.fast_ms.map_or_else(|| "-".into(), |f| format!("{f:.1}")),
             e.speedup_vs_seed()
                 .map_or_else(|| "-".into(), |s| format!("{s:.2}x")),
-            e.speedup_vs_single(),
+            e.speedup_vs_single()
+                .map_or_else(|| "-".into(), |s| format!("{s:.2}x")),
             e.total_steps,
             e.peak_rss_kb
                 .map_or_else(|| "-".into(), |kb| format!("{:.1}", kb as f64 / 1024.0)),
@@ -762,7 +882,9 @@ fn main() {
     // (shared runners wobble); the committed-baseline comparison with a
     // ±tolerance lives in the `perf_gate` binary, which CI runs against
     // BENCH_engine.quick.json.
-    let kk = &entries[0];
+    let Some(kk) = entries.iter().find(|e| e.name == "kk_plain_rr") else {
+        return;
+    };
     let vs_seed = kk
         .speedup_vs_seed()
         .expect("kk workload measures the seed baseline");
@@ -771,11 +893,11 @@ fn main() {
         eprintln!("[perf_smoke] FAIL: kk_plain_rr speedup vs seed {vs_seed:.2}x < {floor}x");
         std::process::exit(1);
     }
-    if kk.speedup_vs_single() < 0.95 {
-        eprintln!(
-            "[perf_smoke] FAIL: fast path regressed vs single-step ({:.2}x)",
-            kk.speedup_vs_single()
-        );
+    let vs_single = kk
+        .speedup_vs_single()
+        .expect("kk workload measures the fast path");
+    if vs_single < 0.95 {
+        eprintln!("[perf_smoke] FAIL: fast path regressed vs single-step ({vs_single:.2}x)");
         std::process::exit(1);
     }
 }

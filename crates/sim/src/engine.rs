@@ -278,6 +278,7 @@ where
                 total_steps,
                 crashes: crashed.len(),
                 max_crashes: self.max_crashes,
+                running,
             };
             // The run stays alive with zero running processes only while the
             // scheduler still intends to restart a crashed one.
